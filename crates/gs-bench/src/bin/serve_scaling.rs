@@ -6,9 +6,10 @@
 //! how the same multi-scene workload behaves under contention, which is the
 //! regime a production deployment of trained GS-Scale scenes lives in.
 //!
-//! Before the sweep, a kernel microbench times the scalar reference render
-//! path against the SoA lane-batched and tile-parallel kernels on one of
-//! the workload's scenes (asserting byte-identity), pairs each phase with
+//! Before the sweep, a kernel microbench times the pixel-outer reference
+//! rasterizer against the production row-blend rasterizer, sequential and
+//! tile-parallel, on one of the workload's scenes (asserting byte-identity),
+//! pairs each phase with
 //! its analytic `gs_render::cost` work estimate, and reports achieved
 //! GFLOP/s / GB/s / roofline efficiency per phase into the JSON report's
 //! `"roofline"` section.
@@ -24,15 +25,11 @@ use std::sync::Arc;
 use gs_bench::{print_table, BenchArgs, BenchReport, BenchScenario, RooflineEntry};
 use gs_core::camera::Viewport;
 use gs_core::rng::Rng64;
-use gs_core::GaussianSoa;
 use gs_platform::roofline::{RooflinePoint, Work};
 use gs_platform::specs::PlatformSpec;
 use gs_render::cost::{projection_cost, raster_forward_cost};
 use gs_render::tiles::TileGrid;
-use gs_render::{
-    project_splats, project_splats_reference, rasterize_forward, rasterize_forward_reference,
-    rasterize_forward_tiled,
-};
+use gs_render::{project_splats, rasterize_forward, rasterize_forward_reference};
 use gs_scene::{SceneConfig, SceneDataset};
 use gs_serve::{RenderRequest, RenderServer, SceneRegistry, ServeConfig, ServeStats};
 
@@ -157,9 +154,10 @@ fn roofline_entry(
 }
 
 /// Measures the render kernels head-to-head on one of the workload's scenes:
-/// the scalar reference path (the seed's pixel-outer loops) against the
-/// SoA lane-batched kernels and the tile-parallel rasterizer, asserting
-/// byte-identity between every pair along the way.
+/// the pixel-outer reference rasterizer against the production row-blend
+/// rasterizer on one thread and on every core, asserting byte-identity
+/// between every pair along the way. Projection has one implementation and
+/// is timed once.
 ///
 /// Each phase's time is paired with its `gs_render::cost` work estimate and
 /// situated against the modelled desktop CPU roofline (the same
@@ -177,19 +175,13 @@ fn kernel_microbench(workload: &Workload, report: &mut BenchReport) {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let reps = 20;
 
-    // --- byte-identity gates: the refactor's invariant, re-checked here so
+    // --- byte-identity gates: the kernel's invariant, re-checked here so
     // a perf report can never quote a kernel that drifted.
-    let splats_ref = project_splats_reference(params, cam, sh_degree, &vp);
-    let splats_soa = project_splats(params, cam, sh_degree, &vp);
-    assert_eq!(
-        splats_ref.len(),
-        splats_soa.len(),
-        "SoA projection must keep the reference's surviving set"
-    );
-    let grid = TileGrid::build(&splats_soa, vp);
-    let (img_ref, aux) = rasterize_forward_reference(&splats_soa, &grid, background);
-    let (img_lane, _) = rasterize_forward(&splats_soa, &grid, background);
-    let (img_tiled, _) = rasterize_forward_tiled(&splats_soa, &grid, background, threads);
+    let splats = project_splats(params, cam, sh_degree, &vp);
+    let grid = TileGrid::build(&splats, vp);
+    let (img_ref, aux) = rasterize_forward_reference(&splats, &grid, background);
+    let (img_lane, _) = rasterize_forward(&splats, &grid, background, 1);
+    let (img_tiled, _) = rasterize_forward(&splats, &grid, background, threads);
     assert_eq!(img_ref.data(), img_lane.data(), "lane kernel drifted");
     assert_eq!(img_ref.data(), img_tiled.data(), "tiled kernel drifted");
 
@@ -203,40 +195,19 @@ fn kernel_microbench(workload: &Workload, report: &mut BenchReport) {
     let frame_work = proj_work.combine(&raster_work);
 
     // --- measured phases (best-of-reps to shed scheduler noise).
-    let t_proj_ref = best_seconds(reps, || {
-        project_splats_reference(params, cam, sh_degree, &vp)
-    });
-    // The facade path serving actually pays: SoA build + specialized kernel.
-    let t_proj_soa = best_seconds(reps, || project_splats(params, cam, sh_degree, &vp));
-    // And the prebuilt-view path batch rendering pays after its one build.
-    let soa = GaussianSoa::build(params, sh_degree);
-    let t_proj_hot = best_seconds(reps, || gs_render::project_splats_soa(&soa, cam, &vp));
+    let t_proj = best_seconds(reps, || project_splats(params, cam, sh_degree, &vp));
     let t_rast_ref = best_seconds(reps, || {
-        rasterize_forward_reference(&splats_soa, &grid, background)
+        rasterize_forward_reference(&splats, &grid, background)
     });
-    let t_rast_lane = best_seconds(reps, || rasterize_forward(&splats_soa, &grid, background));
+    let t_rast_lane = best_seconds(reps, || rasterize_forward(&splats, &grid, background, 1));
     let t_rast_tiled = best_seconds(reps, || {
-        rasterize_forward_tiled(&splats_soa, &grid, background, threads)
+        rasterize_forward(&splats, &grid, background, threads)
     });
-    let t_frame_ref = t_proj_ref + t_rast_ref;
-    let t_frame_tuned = t_proj_soa + t_rast_tiled.min(t_rast_lane);
+    let t_frame_ref = t_proj + t_rast_ref;
+    let t_frame_tuned = t_proj + t_rast_tiled.min(t_rast_lane);
 
     for entry in [
-        roofline_entry(
-            "project/reference",
-            &proj_work,
-            t_proj_ref,
-            t_proj_ref,
-            &cpu,
-        ),
-        roofline_entry("project/soa-lane", &proj_work, t_proj_soa, t_proj_ref, &cpu),
-        roofline_entry(
-            "project/soa-prebuilt",
-            &proj_work,
-            t_proj_hot,
-            t_proj_ref,
-            &cpu,
-        ),
+        roofline_entry("project/reference", &proj_work, t_proj, t_proj, &cpu),
         roofline_entry(
             "raster/reference",
             &raster_work,

@@ -17,9 +17,6 @@
 //! * [`scene`] — point clouds and scene initialization from SfM-like inputs.
 //! * [`sketch`] — probabilistic frequency sketches (count-min + doorkeeper)
 //!   for TinyLFU-style cache admission in the serving tier.
-//! * [`soa`] — the render-optimized streaming view of [`gaussian`]
-//!   (pre-exponentiated scales, pre-sigmoided opacities, degree-truncated
-//!   SH planes) consumed by the specialized projection kernels.
 //! * [`rng`] — the deterministic workspace RNG ([`Rng64`]) plus a seeded
 //!   [`Zipf`] sampler for power-law scene popularity.
 //! * [`kmeans`] — seeded k-means clustering for SimPoint-style trace
@@ -52,7 +49,6 @@ pub mod rng;
 pub mod scene;
 pub mod sh;
 pub mod sketch;
-pub mod soa;
 
 pub use camera::Camera;
 pub use error::{Error, Result};
@@ -63,4 +59,3 @@ pub use math::{Mat3, Quat, Vec2, Vec3, Vec4};
 pub use rng::{Rng64, Zipf};
 pub use scene::PointCloud;
 pub use sketch::{CountMinSketch, Doorkeeper, FrequencySketch};
-pub use soa::GaussianSoa;

@@ -153,28 +153,6 @@ pub fn eval_color(degree: usize, dir: Vec3, coeffs: &[[f32; 3]]) -> [f32; 3] {
     [rgb[0].max(0.0), rgb[1].max(0.0), rgb[2].max(0.0)]
 }
 
-/// Evaluates view-dependent RGB color from a *flat* coefficient plane, the
-/// layout [`crate::soa::GaussianSoa`] streams (`[c0.r, c0.g, c0.b, c1.r,
-/// ...]`, at least `3 * num_coeffs(degree)` floats).
-///
-/// Performs exactly the floating-point operations of [`eval_color`] in the
-/// same order, so the two are bit-identical; this variant just skips the
-/// intermediate copy into RGB triples. The specialized projection kernels
-/// call it with a const-generic `degree`, which lets the compiler drop the
-/// per-degree branches of [`eval_basis`] entirely.
-#[inline]
-pub fn eval_color_flat(degree: usize, dir: Vec3, flat: &[f32]) -> [f32; 3] {
-    debug_assert!(flat.len() >= 3 * num_coeffs(degree));
-    let basis = eval_basis(degree, dir);
-    let mut rgb = [0.5f32; 3];
-    for (k, &b) in basis.iter().enumerate().take(num_coeffs(degree)) {
-        rgb[0] += b * flat[3 * k];
-        rgb[1] += b * flat[3 * k + 1];
-        rgb[2] += b * flat[3 * k + 2];
-    }
-    [rgb[0].max(0.0), rgb[1].max(0.0), rgb[2].max(0.0)]
-}
-
 /// Gradients produced by [`eval_color_backward`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColorBackward {
@@ -272,27 +250,6 @@ mod tests {
         assert!((c[0] - (SH_C0 + 0.5)).abs() < 1e-6);
         assert!((c[1] - (0.5 - 0.5 * SH_C0)).abs() < 1e-6);
         assert!((c[2] - (0.5 + 0.25 * SH_C0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn flat_evaluation_is_bit_identical_to_triples() {
-        let mut flat = vec![0.0f32; 3 * MAX_COEFFS];
-        for (k, v) in flat.iter_mut().enumerate() {
-            *v = (k as f32 * 0.53).sin() * 0.4;
-        }
-        let triples: Vec<[f32; 3]> = (0..MAX_COEFFS)
-            .map(|k| [flat[3 * k], flat[3 * k + 1], flat[3 * k + 2]])
-            .collect();
-        for degree in 0..=MAX_DEGREE {
-            for s in 0..8 {
-                let dir = rand_dir(s * 7 + degree as u64);
-                assert_eq!(
-                    eval_color_flat(degree, dir, &flat),
-                    eval_color(degree, dir, &triples),
-                    "degree {degree} seed {s}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -19,14 +19,13 @@
 //!   by the platform timing model.
 //!
 //! The renderer is deterministic by design so that gradient checks and
-//! cross-trainer equivalence tests are exact: the hot path streams a
-//! structure-of-arrays view ([`gs_core::soa::GaussianSoa`]) through
-//! lane-batched, SH-degree-specialized kernels, and rasterization can fan
-//! tile rows out across threads ([`pipeline::render_tiled`]) — every
-//! variant is bit-identical to the single-threaded scalar reference
-//! ([`projection::project_splats_reference`],
-//! [`rasterize::rasterize_forward_reference`]), which is kept as the
-//! in-tree oracle.
+//! cross-trainer equivalence tests are exact. Each kernel stage has one
+//! implementation: a scalar projection loop ([`projection::project_splats`])
+//! and one row-blend band driver behind [`rasterize::rasterize_forward`] and
+//! [`rasterize::rasterize_layer`], which fan tile rows out across threads.
+//! Their output is bit-identical at any thread count to the pixel-outer
+//! scalar rasterizers ([`rasterize::rasterize_forward_reference`],
+//! [`rasterize::rasterize_layer_reference`]), kept in-tree as oracles.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,14 +40,11 @@ pub mod tiles;
 
 pub use culling::{frustum_cull, CullResult};
 pub use pipeline::{
-    render, render_backward, render_layer, render_layer_tiled, render_layer_tiled_timed,
-    render_tiled, RenderOutput, RenderStats, RenderTimings,
+    render, render_backward, render_layer, render_layer_tiled, render_tiled, RenderOutput,
+    RenderStats, RenderTimings,
 };
-pub use projection::{
-    project_splats, project_splats_reference, project_splats_soa, projection_backward, Splat,
-    SplatGrad,
-};
+pub use projection::{project_splats, projection_backward, Splat, SplatGrad};
 pub use rasterize::{
-    rasterize_backward, rasterize_forward, rasterize_forward_reference, rasterize_forward_tiled,
-    rasterize_layer, rasterize_layer_reference, rasterize_layer_tiled, FrameLayer, RasterAux,
+    rasterize_backward, rasterize_forward, rasterize_forward_reference, rasterize_layer,
+    rasterize_layer_reference, FrameLayer, RasterAux,
 };

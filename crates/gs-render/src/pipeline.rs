@@ -15,8 +15,7 @@ use crate::cost::{self, WorkEstimate};
 use crate::loss::{loss_and_grad, LossKind};
 use crate::projection::{project_splats, projection_backward, Splat};
 use crate::rasterize::{
-    rasterize_backward, rasterize_forward, rasterize_forward_tiled, rasterize_layer,
-    rasterize_layer_tiled, FrameLayer, RasterAux,
+    rasterize_backward, rasterize_forward, rasterize_layer, FrameLayer, RasterAux,
 };
 use crate::tiles::TileGrid;
 
@@ -51,7 +50,7 @@ impl RenderStats {
 /// stays `Eq`-comparable across runs).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RenderTimings {
-    /// Seconds spent in projection (SoA build + EWA kernel).
+    /// Seconds spent in projection (EWA projection and SH color).
     pub project_s: f64,
     /// Seconds spent binning splats into tiles.
     pub bin_s: f64,
@@ -122,34 +121,17 @@ pub fn render_tiled(
     background: [f32; 3],
     threads: usize,
 ) -> RenderOutput {
-    let t0 = std::time::Instant::now();
-    let splats = project_splats(params, cam, sh_degree, viewport);
-    let t1 = std::time::Instant::now();
-    let grid = TileGrid::build(&splats, *viewport);
-    let t2 = std::time::Instant::now();
-    let (image, aux) = if threads > 1 {
-        rasterize_forward_tiled(&splats, &grid, background, threads)
-    } else {
-        rasterize_forward(&splats, &grid, background)
-    };
-    let t3 = std::time::Instant::now();
-    let stats = RenderStats {
-        num_input: params.len(),
-        num_splats: splats.len(),
-        num_pairs: grid.total_pairs(),
-        num_pixels: viewport.num_pixels(),
-    };
+    let ((image, aux), splats, grid, stats, timings) =
+        render_with(params, cam, sh_degree, viewport, |splats, grid| {
+            rasterize_forward(splats, grid, background, threads)
+        });
     RenderOutput {
         image,
         splats,
         grid,
         aux,
         stats,
-        timings: RenderTimings {
-            project_s: (t1 - t0).as_secs_f64(),
-            bin_s: (t2 - t1).as_secs_f64(),
-            raster_s: (t3 - t2).as_secs_f64(),
-        },
+        timings,
     }
 }
 
@@ -173,12 +155,13 @@ pub fn render_layer(
     viewport: &Viewport,
     layer: &mut FrameLayer,
 ) -> RenderStats {
-    render_layer_tiled(params, cam, sh_degree, viewport, layer, 1)
+    render_layer_tiled(params, cam, sh_degree, viewport, layer, 1).0
 }
 
 /// [`render_layer`] with rasterization fanned out over up to `threads`
-/// scoped worker threads (see [`render_tiled`]); bit-identical to the
-/// sequential pass.
+/// scoped worker threads (see [`render_tiled`]), also reporting per-phase
+/// wall time for the serving tier's live kernel-phase profiling.
+/// Bit-identical to the sequential pass.
 ///
 /// # Panics
 ///
@@ -190,34 +173,31 @@ pub fn render_layer_tiled(
     viewport: &Viewport,
     layer: &mut FrameLayer,
     threads: usize,
-) -> RenderStats {
-    render_layer_tiled_timed(params, cam, sh_degree, viewport, layer, threads).0
+) -> (RenderStats, RenderTimings) {
+    let ((), _, _, stats, timings) =
+        render_with(params, cam, sh_degree, viewport, |splats, grid| {
+            rasterize_layer(splats, grid, layer, threads)
+        });
+    (stats, timings)
 }
 
-/// [`render_layer_tiled`] that also reports per-phase wall time, for the
-/// serving tier's live kernel-phase profiling.
-///
-/// # Panics
-///
-/// Panics if `layer`'s size does not match the viewport.
-pub fn render_layer_tiled_timed(
+/// The project → bin → raster body every forward entry point shares:
+/// `raster` blends the binned splats (into a fresh image or a running
+/// layer), and its result is returned with the splats, the tile grid, the
+/// work counters and the per-phase wall time.
+fn render_with<R>(
     params: &GaussianParams,
     cam: &Camera,
     sh_degree: usize,
     viewport: &Viewport,
-    layer: &mut FrameLayer,
-    threads: usize,
-) -> (RenderStats, RenderTimings) {
+    raster: impl FnOnce(&[Splat], &TileGrid) -> R,
+) -> (R, Vec<Splat>, TileGrid, RenderStats, RenderTimings) {
     let t0 = std::time::Instant::now();
     let splats = project_splats(params, cam, sh_degree, viewport);
     let t1 = std::time::Instant::now();
     let grid = TileGrid::build(&splats, *viewport);
     let t2 = std::time::Instant::now();
-    if threads > 1 {
-        rasterize_layer_tiled(&splats, &grid, layer, threads);
-    } else {
-        rasterize_layer(&splats, &grid, layer);
-    }
+    let rastered = raster(&splats, &grid);
     let t3 = std::time::Instant::now();
     let stats = RenderStats {
         num_input: params.len(),
@@ -230,7 +210,7 @@ pub fn render_layer_tiled_timed(
         bin_s: (t2 - t1).as_secs_f64(),
         raster_s: (t3 - t2).as_secs_f64(),
     };
-    (stats, timings)
+    (rastered, splats, grid, stats, timings)
 }
 
 /// Renders the full camera image (convenience wrapper over [`render`]).
@@ -480,7 +460,7 @@ mod tests {
         let mut seq = FrameLayer::new(vp.width(), vp.height());
         let seq_stats = render_layer(&p, &c, 3, &vp, &mut seq);
         let mut par = FrameLayer::new(vp.width(), vp.height());
-        let par_stats = render_layer_tiled(&p, &c, 3, &vp, &mut par, 3);
+        let (par_stats, _) = render_layer_tiled(&p, &c, 3, &vp, &mut par, 3);
         assert_eq!(par, seq);
         assert_eq!(par_stats, seq_stats);
     }

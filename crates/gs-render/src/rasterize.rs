@@ -63,12 +63,11 @@ fn splat_alpha(splat: &Splat, sigma: f32) -> Option<(f32, bool)> {
     }
 }
 
-/// The per-pixel front-to-back blend kernel shared by [`rasterize_forward`]
-/// and [`rasterize_layer`]: composites the bin's splats into the running
-/// `(color, t)` state (premultiplied, no background) with early termination
-/// at [`TRANSMITTANCE_MIN`], and returns how many bin entries were
-/// processed. Keeping this in one place is what makes the sharded layer
-/// composite bit-identical to the single-pass render by construction.
+/// The per-pixel front-to-back blend kernel of the scalar oracles
+/// ([`rasterize_forward_reference`] and [`rasterize_layer_reference`]):
+/// composites the bin's splats into the running `(color, t)` state
+/// (premultiplied, no background) with early termination at
+/// [`TRANSMITTANCE_MIN`], and returns how many bin entries were processed.
 #[inline]
 fn blend_pixel(
     splats: &[Splat],
@@ -204,22 +203,21 @@ fn band_bounds(tiles_y: usize, threads: usize) -> Vec<(usize, usize)> {
     bands
 }
 
-/// Renders tile rows `ty0..ty1` into band-local buffers (`img` holds
-/// `3 * width` floats per pixel row, `final_t`/`n_processed` one value).
-/// The shared worker for the sequential forward pass (one band covering the
-/// whole grid) and the tile-parallel pass (one band per thread): every pixel
-/// is produced by the same code path regardless of how the image is banded,
-/// which is what makes the two bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn forward_band(
+/// The band driver every raster entry point shares: blends tile rows
+/// `ty0..ty1` into band-local slices of a layer's premultiplied color
+/// (`3 * width` floats per pixel row) and transmittance, continuing each
+/// pixel's running state. When `counts` is given it receives each pixel's
+/// processed bin-entry count (the backward pass's replay bound).
+///
+/// Every pixel runs the same code however the image is banded, which is
+/// what makes the output bit-identical at any thread count.
+fn blend_band(
     splats: &[Splat],
     grid: &TileGrid,
-    background: [f32; 3],
-    ty0: usize,
-    ty1: usize,
-    img: &mut [f32],
-    final_t: &mut [f32],
-    n_processed: &mut [u32],
+    (ty0, ty1): (usize, usize),
+    color: &mut [f32],
+    transmittance: &mut [f32],
+    mut counts: Option<&mut [u32]>,
 ) {
     let vp = grid.viewport();
     let width = vp.width();
@@ -227,14 +225,24 @@ fn forward_band(
     for ty in ty0..ty1 {
         for tx in 0..grid.tiles_x() {
             let bin = grid.bin(tx, ty);
+            if bin.is_empty() {
+                continue;
+            }
             let (x0, y0, x1, y1) = grid.tile_pixel_range(tx, ty);
             let row_w = x1 - x0;
             let lx0 = x0 - vp.x0;
             for py in y0..y1 {
                 let cy = py as f32 + 0.5;
+                let ly = (py - vp.y0) - band_row0;
+                let pix0 = ly * width + lx0;
                 let mut colors = [[0.0f32; 3]; TILE_SIZE];
                 let mut ts = [1.0f32; TILE_SIZE];
                 let mut procs = [0u32; TILE_SIZE];
+                for l in 0..row_w {
+                    let pix = pix0 + l;
+                    colors[l] = [color[3 * pix], color[3 * pix + 1], color[3 * pix + 2]];
+                    ts[l] = transmittance[pix];
+                }
                 blend_row(
                     splats,
                     bin,
@@ -244,19 +252,66 @@ fn forward_band(
                     &mut ts[..row_w],
                     &mut procs[..row_w],
                 );
-                let ly = (py - vp.y0) - band_row0;
                 for l in 0..row_w {
-                    let t = ts[l];
-                    let mut c = colors[l];
-                    c[0] += background[0] * t;
-                    c[1] += background[1] * t;
-                    c[2] += background[2] * t;
-                    let pix = ly * width + lx0 + l;
-                    img[3 * pix..3 * pix + 3].copy_from_slice(&c);
-                    final_t[pix] = t;
-                    n_processed[pix] = procs[l];
+                    let pix = pix0 + l;
+                    color[3 * pix..3 * pix + 3].copy_from_slice(&colors[l]);
+                    transmittance[pix] = ts[l];
+                }
+                if let Some(counts) = counts.as_deref_mut() {
+                    counts[pix0..pix0 + row_w].copy_from_slice(&procs[..row_w]);
                 }
             }
+        }
+    }
+}
+
+/// Fans [`blend_band`] out over at most `threads` contiguous tile-row bands,
+/// one scoped thread each, over disjoint pixel-row slices of the buffers
+/// (split at band boundaries, so no pixel is touched by two threads).
+/// `threads <= 1`, or a single tile row, runs the one band on the calling
+/// thread.
+fn blend_bands(
+    splats: &[Splat],
+    grid: &TileGrid,
+    color: &mut [f32],
+    transmittance: &mut [f32],
+    counts: Option<&mut [u32]>,
+    threads: usize,
+) {
+    let bands = band_bounds(grid.tiles_y(), threads);
+    if let [band] = bands[..] {
+        blend_band(splats, grid, band, color, transmittance, counts);
+        return;
+    }
+    let vp = grid.viewport();
+    let width = vp.width();
+    let height = vp.height();
+    std::thread::scope(|scope| {
+        let mut c_rest = color;
+        let mut t_rest = transmittance;
+        let mut p_rest = counts;
+        for &(ty0, ty1) in &bands {
+            let px = ((ty1 * TILE_SIZE).min(height) - ty0 * TILE_SIZE) * width;
+            let (c_band, c_next) = std::mem::take(&mut c_rest).split_at_mut(3 * px);
+            let (t_band, t_next) = std::mem::take(&mut t_rest).split_at_mut(px);
+            let p_band = p_rest.take().map(|p| {
+                let (band, next) = p.split_at_mut(px);
+                p_rest = Some(next);
+                band
+            });
+            c_rest = c_next;
+            t_rest = t_next;
+            scope.spawn(move || blend_band(splats, grid, (ty0, ty1), c_band, t_band, p_band));
+        }
+    });
+}
+
+/// Composites `background` behind premultiplied `color` through the
+/// remaining per-pixel `transmittance`: `color += background * t`.
+fn add_background(color: &mut [f32], transmittance: &[f32], background: [f32; 3]) {
+    for (i, &t) in transmittance.iter().enumerate() {
+        for ch in 0..3 {
+            color[3 * i + ch] += background[ch] * t;
         }
     }
 }
@@ -265,86 +320,34 @@ fn forward_band(
 /// (sized to the viewport) and the auxiliary state needed for the backward
 /// pass.
 ///
-/// Runs the lane-batched row kernel ([`blend_row`]) sequentially; output is
-/// bit-identical to [`rasterize_forward_reference`] and to
-/// [`rasterize_forward_tiled`] at any thread count.
+/// Blends into a fresh [`FrameLayer`] with tile rows fanned out over up to
+/// `threads` scoped threads, then composites `background` in place. Output
+/// is bit-identical to [`rasterize_forward_reference`] at any thread count.
 pub fn rasterize_forward(
-    splats: &[Splat],
-    grid: &TileGrid,
-    background: [f32; 3],
-) -> (Image, RasterAux) {
-    let vp = grid.viewport();
-    let width = vp.width();
-    let height = vp.height();
-    let mut image = Image::zeros(width, height);
-    let mut final_t = vec![1.0f32; width * height];
-    let mut n_processed = vec![0u32; width * height];
-    forward_band(
-        splats,
-        grid,
-        background,
-        0,
-        grid.tiles_y(),
-        image.data_mut(),
-        &mut final_t,
-        &mut n_processed,
-    );
-    (
-        image,
-        RasterAux {
-            final_transmittance: final_t,
-            n_processed,
-            background,
-        },
-    )
-}
-
-/// [`rasterize_forward`] with tile rows fanned out over `threads` scoped
-/// worker threads.
-///
-/// Each thread renders a contiguous band of tile rows into a disjoint slice
-/// of the output buffers (split at pixel-row boundaries), so no pixel is
-/// touched by two threads and every pixel runs the exact per-pixel code of
-/// the sequential pass — the output is bit-identical to
-/// [`rasterize_forward`]. `threads <= 1` (or a single tile row) falls back
-/// to the sequential pass.
-pub fn rasterize_forward_tiled(
     splats: &[Splat],
     grid: &TileGrid,
     background: [f32; 3],
     threads: usize,
 ) -> (Image, RasterAux) {
-    let bands = band_bounds(grid.tiles_y(), threads);
-    if bands.len() <= 1 {
-        return rasterize_forward(splats, grid, background);
-    }
     let vp = grid.viewport();
-    let width = vp.width();
-    let height = vp.height();
-    let mut image = Image::zeros(width, height);
-    let mut final_t = vec![1.0f32; width * height];
-    let mut n_processed = vec![0u32; width * height];
-    std::thread::scope(|scope| {
-        let mut img_rest: &mut [f32] = image.data_mut();
-        let mut t_rest: &mut [f32] = &mut final_t;
-        let mut p_rest: &mut [u32] = &mut n_processed;
-        for &(ty0, ty1) in &bands {
-            let rows = (ty1 * TILE_SIZE).min(height) - ty0 * TILE_SIZE;
-            let (img_band, img_next) = std::mem::take(&mut img_rest).split_at_mut(3 * rows * width);
-            let (t_band, t_next) = std::mem::take(&mut t_rest).split_at_mut(rows * width);
-            let (p_band, p_next) = std::mem::take(&mut p_rest).split_at_mut(rows * width);
-            img_rest = img_next;
-            t_rest = t_next;
-            p_rest = p_next;
-            scope.spawn(move || {
-                forward_band(splats, grid, background, ty0, ty1, img_band, t_band, p_band);
-            });
-        }
-    });
+    let FrameLayer {
+        mut color,
+        mut transmittance,
+    } = FrameLayer::new(vp.width(), vp.height());
+    let mut n_processed = vec![0u32; vp.num_pixels()];
+    blend_bands(
+        splats,
+        grid,
+        color.data_mut(),
+        &mut transmittance,
+        Some(&mut n_processed),
+        threads,
+    );
+    add_background(color.data_mut(), &transmittance, background);
     (
-        image,
+        color,
         RasterAux {
-            final_transmittance: final_t,
+            final_transmittance: transmittance,
             n_processed,
             background,
         },
@@ -513,135 +516,37 @@ impl FrameLayer {
     /// transmittance, producing the final frame.
     pub fn finish(&self, background: [f32; 3]) -> Image {
         let mut image = self.color.clone();
-        let data = image.data_mut();
-        for (i, &t) in self.transmittance.iter().enumerate() {
-            for ch in 0..3 {
-                data[3 * i + ch] += background[ch] * t;
-            }
-        }
+        add_background(image.data_mut(), &self.transmittance, background);
         image
     }
 }
 
 /// Rasterizes splats *into* `layer`, continuing each pixel's running
-/// front-to-back blend where the previous (nearer) content left off.
+/// front-to-back blend where the previous (nearer) content left off, with
+/// tile rows fanned out over up to `threads` scoped threads.
 ///
 /// Pixels whose incoming transmittance is already below
 /// [`TRANSMITTANCE_MIN`] are skipped entirely — the same early termination
 /// the unsharded forward pass applies mid-pixel, which is what makes the
 /// threaded shard composite bit-identical for depth-disjoint shards (and
-/// lets far shards skip work behind opaque geometry).
+/// lets far shards skip work behind opaque geometry). Bit-identical to
+/// [`rasterize_layer_reference`] at any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `layer`'s size does not match the grid's viewport.
-pub fn rasterize_layer(splats: &[Splat], grid: &TileGrid, layer: &mut FrameLayer) {
+pub fn rasterize_layer(splats: &[Splat], grid: &TileGrid, layer: &mut FrameLayer, threads: usize) {
     let vp = grid.viewport();
     assert_eq!(layer.width(), vp.width(), "layer width mismatch");
     assert_eq!(layer.height(), vp.height(), "layer height mismatch");
-    let transmittance = &mut layer.transmittance;
-    layer_band(
+    blend_bands(
         splats,
         grid,
-        0,
-        grid.tiles_y(),
         layer.color.data_mut(),
-        transmittance,
+        &mut layer.transmittance,
+        None,
+        threads,
     );
-}
-
-/// Rasterizes tile rows `ty0..ty1` into band-local slices of a layer's
-/// color data (`3 * width` floats per pixel row) and transmittance. The
-/// shared worker for [`rasterize_layer`] (one band) and
-/// [`rasterize_layer_tiled`] (one band per thread).
-fn layer_band(
-    splats: &[Splat],
-    grid: &TileGrid,
-    ty0: usize,
-    ty1: usize,
-    color: &mut [f32],
-    transmittance: &mut [f32],
-) {
-    let vp = grid.viewport();
-    let width = vp.width();
-    let band_row0 = ty0 * TILE_SIZE;
-    for ty in ty0..ty1 {
-        for tx in 0..grid.tiles_x() {
-            let bin = grid.bin(tx, ty);
-            if bin.is_empty() {
-                continue;
-            }
-            let (x0, y0, x1, y1) = grid.tile_pixel_range(tx, ty);
-            let row_w = x1 - x0;
-            let lx0 = x0 - vp.x0;
-            for py in y0..y1 {
-                let cy = py as f32 + 0.5;
-                let ly = (py - vp.y0) - band_row0;
-                let pix0 = ly * width + lx0;
-                let mut colors = [[0.0f32; 3]; TILE_SIZE];
-                let mut ts = [1.0f32; TILE_SIZE];
-                let mut procs = [0u32; TILE_SIZE];
-                for l in 0..row_w {
-                    let pix = pix0 + l;
-                    colors[l] = [color[3 * pix], color[3 * pix + 1], color[3 * pix + 2]];
-                    ts[l] = transmittance[pix];
-                }
-                blend_row(
-                    splats,
-                    bin,
-                    x0,
-                    cy,
-                    &mut colors[..row_w],
-                    &mut ts[..row_w],
-                    &mut procs[..row_w],
-                );
-                for l in 0..row_w {
-                    let pix = pix0 + l;
-                    color[3 * pix..3 * pix + 3].copy_from_slice(&colors[l]);
-                    transmittance[pix] = ts[l];
-                }
-            }
-        }
-    }
-}
-
-/// [`rasterize_layer`] with tile rows fanned out over `threads` scoped
-/// worker threads, each continuing the blend on a disjoint band of the
-/// layer's pixel rows. Bit-identical to the sequential [`rasterize_layer`]
-/// (every pixel's blend is independent of its neighbours'). `threads <= 1`
-/// falls back to the sequential pass.
-///
-/// # Panics
-///
-/// Panics if `layer`'s size does not match the grid's viewport.
-pub fn rasterize_layer_tiled(
-    splats: &[Splat],
-    grid: &TileGrid,
-    layer: &mut FrameLayer,
-    threads: usize,
-) {
-    let vp = grid.viewport();
-    let width = vp.width();
-    let height = vp.height();
-    assert_eq!(layer.width(), width, "layer width mismatch");
-    assert_eq!(layer.height(), height, "layer height mismatch");
-    let bands = band_bounds(grid.tiles_y(), threads);
-    if bands.len() <= 1 {
-        rasterize_layer(splats, grid, layer);
-        return;
-    }
-    std::thread::scope(|scope| {
-        let mut c_rest: &mut [f32] = layer.color.data_mut();
-        let mut t_rest: &mut [f32] = &mut layer.transmittance;
-        for &(ty0, ty1) in &bands {
-            let rows = (ty1 * TILE_SIZE).min(height) - ty0 * TILE_SIZE;
-            let (c_band, c_next) = std::mem::take(&mut c_rest).split_at_mut(3 * rows * width);
-            let (t_band, t_next) = std::mem::take(&mut t_rest).split_at_mut(rows * width);
-            c_rest = c_next;
-            t_rest = t_next;
-            scope.spawn(move || layer_band(splats, grid, ty0, ty1, c_band, t_band));
-        }
-    });
 }
 
 /// The seed scalar layer pass (pixel-outer [`blend_pixel`] walk), kept
@@ -831,7 +736,7 @@ mod tests {
     #[test]
     fn empty_scene_renders_background() {
         let grid = TileGrid::build(&[], vp(8, 8));
-        let (img, aux) = rasterize_forward(&[], &grid, [0.2, 0.4, 0.6]);
+        let (img, aux) = rasterize_forward(&[], &grid, [0.2, 0.4, 0.6], 1);
         assert_eq!(img.pixel(3, 3), [0.2, 0.4, 0.6]);
         assert!(aux.final_transmittance.iter().all(|&t| t == 1.0));
     }
@@ -840,7 +745,7 @@ mod tests {
     fn single_opaque_splat_dominates_center() {
         let splats = vec![simple_splat(0, 8.0, 8.0, [1.0, 0.0, 0.0], 0.99, 1.0)];
         let grid = TileGrid::build(&splats, vp(16, 16));
-        let (img, _) = rasterize_forward(&splats, &grid, [0.0, 0.0, 0.0]);
+        let (img, _) = rasterize_forward(&splats, &grid, [0.0, 0.0, 0.0], 1);
         let center = img.pixel(8, 8);
         assert!(center[0] > 0.9, "red channel {}", center[0]);
         assert!(center[1] < 0.05);
@@ -857,7 +762,7 @@ mod tests {
             simple_splat(1, 8.0, 8.0, [1.0, 0.0, 0.0], 0.95, 1.0),
         ];
         let grid = TileGrid::build(&splats, vp(16, 16));
-        let (img, _) = rasterize_forward(&splats, &grid, [0.0, 0.0, 0.0]);
+        let (img, _) = rasterize_forward(&splats, &grid, [0.0, 0.0, 0.0], 1);
         let c = img.pixel(8, 8);
         assert!(c[0] > 4.0 * c[1], "red should occlude green: {c:?}");
     }
@@ -871,8 +776,8 @@ mod tests {
         ];
         let g1 = TileGrid::build(&one, vp(16, 16));
         let g2 = TileGrid::build(&two, vp(16, 16));
-        let (_, a1) = rasterize_forward(&one, &g1, [0.0; 3]);
-        let (_, a2) = rasterize_forward(&two, &g2, [0.0; 3]);
+        let (_, a1) = rasterize_forward(&one, &g1, [0.0; 3], 1);
+        let (_, a2) = rasterize_forward(&two, &g2, [0.0; 3], 1);
         let p = 8 * 16 + 8;
         assert!(a2.final_transmittance[p] < a1.final_transmittance[p]);
     }
@@ -894,7 +799,7 @@ mod tests {
         };
         let loss = |splats: &[Splat]| -> f64 {
             let grid = TileGrid::build(splats, viewport);
-            let (img, _) = rasterize_forward(splats, &grid, bg);
+            let (img, _) = rasterize_forward(splats, &grid, bg, 1);
             let mut l = 0.0f64;
             for y in 0..16 {
                 for x in 0..16 {
@@ -908,7 +813,7 @@ mod tests {
         };
 
         let grid = TileGrid::build(&base, viewport);
-        let (_, aux) = rasterize_forward(&base, &grid, bg);
+        let (_, aux) = rasterize_forward(&base, &grid, bg, 1);
         let d_image = Image::from_fn(16, 16, |x, y| {
             [weight(x, y, 0), weight(x, y, 1), weight(x, y, 2)]
         });
@@ -1048,7 +953,7 @@ mod tests {
         let grid = TileGrid::build(&splats, viewport);
         let bg = [0.1, 0.2, 0.3];
         let (reference, ref_aux) = rasterize_forward_reference(&splats, &grid, bg);
-        let (fast, fast_aux) = rasterize_forward(&splats, &grid, bg);
+        let (fast, fast_aux) = rasterize_forward(&splats, &grid, bg, 1);
         assert_eq!(fast.data(), reference.data());
         assert_eq!(fast_aux, ref_aux);
     }
@@ -1062,11 +967,11 @@ mod tests {
         let (near, far) = splats.split_at(14);
         let far_grid = TileGrid::build(far, viewport);
         let mut seed = FrameLayer::new(24, 56);
-        rasterize_layer(near, &TileGrid::build(near, viewport), &mut seed);
+        rasterize_layer(near, &TileGrid::build(near, viewport), &mut seed, 1);
         let mut reference = seed.clone();
         rasterize_layer_reference(far, &far_grid, &mut reference);
         let mut fast = seed;
-        rasterize_layer(far, &far_grid, &mut fast);
+        rasterize_layer(far, &far_grid, &mut fast, 1);
         assert_eq!(fast, reference);
     }
 
@@ -1076,9 +981,9 @@ mod tests {
         let viewport = vp(24, 56);
         let grid = TileGrid::build(&splats, viewport);
         let bg = [0.05, 0.1, 0.15];
-        let (seq, seq_aux) = rasterize_forward(&splats, &grid, bg);
+        let (seq, seq_aux) = rasterize_forward(&splats, &grid, bg, 1);
         for threads in [0, 1, 2, 3, 7, 64] {
-            let (par, par_aux) = rasterize_forward_tiled(&splats, &grid, bg, threads);
+            let (par, par_aux) = rasterize_forward(&splats, &grid, bg, threads);
             assert_eq!(par.data(), seq.data(), "{threads} threads");
             assert_eq!(par_aux, seq_aux, "{threads} threads");
         }
@@ -1090,10 +995,10 @@ mod tests {
         let viewport = vp(24, 56);
         let grid = TileGrid::build(&splats, viewport);
         let mut seq = FrameLayer::new(24, 56);
-        rasterize_layer(&splats, &grid, &mut seq);
+        rasterize_layer(&splats, &grid, &mut seq, 1);
         for threads in [2, 3, 64] {
             let mut par = FrameLayer::new(24, 56);
-            rasterize_layer_tiled(&splats, &grid, &mut par, threads);
+            rasterize_layer(&splats, &grid, &mut par, threads);
             assert_eq!(par, seq, "{threads} threads");
         }
     }
@@ -1104,9 +1009,9 @@ mod tests {
         let viewport = vp(16, 16);
         let grid = TileGrid::build(&splats, viewport);
         let bg = [0.1, 0.2, 0.3];
-        let (forward, aux) = rasterize_forward(&splats, &grid, bg);
+        let (forward, aux) = rasterize_forward(&splats, &grid, bg, 1);
         let mut layer = FrameLayer::new(16, 16);
-        rasterize_layer(&splats, &grid, &mut layer);
+        rasterize_layer(&splats, &grid, &mut layer, 1);
         assert_eq!(layer.finish(bg).data(), forward.data());
         assert_eq!(layer.transmittance(), &aux.final_transmittance[..]);
     }
@@ -1121,7 +1026,7 @@ mod tests {
         let viewport = vp(16, 16);
         let bg = [0.05, 0.05, 0.08];
         let full_grid = TileGrid::build(&splats, viewport);
-        let (forward, _) = rasterize_forward(&splats, &full_grid, bg);
+        let (forward, _) = rasterize_forward(&splats, &full_grid, bg, 1);
 
         for split_points in [vec![4], vec![3, 8], vec![2, 5, 9]] {
             let mut layer = FrameLayer::new(16, 16);
@@ -1131,7 +1036,7 @@ mod tests {
             for end in bounds {
                 let group = &splats[start..end];
                 let grid = TileGrid::build(group, viewport);
-                rasterize_layer(group, &grid, &mut layer);
+                rasterize_layer(group, &grid, &mut layer, 1);
                 start = end;
             }
             assert_eq!(
@@ -1149,7 +1054,7 @@ mod tests {
         let viewport = vp(16, 16);
         let bg = [0.05, 0.05, 0.08];
         let full_grid = TileGrid::build(&splats, viewport);
-        let (forward, _) = rasterize_forward(&splats, &full_grid, bg);
+        let (forward, _) = rasterize_forward(&splats, &full_grid, bg, 1);
 
         let (near_splats, far_splats) = splats.split_at(6);
         let mut near = FrameLayer::new(16, 16);
@@ -1157,9 +1062,15 @@ mod tests {
             near_splats,
             &TileGrid::build(near_splats, viewport),
             &mut near,
+            1,
         );
         let mut far = FrameLayer::new(16, 16);
-        rasterize_layer(far_splats, &TileGrid::build(far_splats, viewport), &mut far);
+        rasterize_layer(
+            far_splats,
+            &TileGrid::build(far_splats, viewport),
+            &mut far,
+            1,
+        );
         near.composite_onto(&far);
         let composed = near.finish(bg);
         for (a, b) in composed.data().iter().zip(forward.data()) {
@@ -1187,6 +1098,7 @@ mod tests {
             &near_splats,
             &TileGrid::build(&near_splats, viewport),
             &mut layer,
+            1,
         );
         let before = layer.clone();
         let p = 8 * 16 + 8;
@@ -1197,6 +1109,7 @@ mod tests {
             &far_splats,
             &TileGrid::build(&far_splats, viewport),
             &mut layer,
+            1,
         );
         assert_eq!(
             layer.color().pixel(8, 8),
@@ -1210,7 +1123,7 @@ mod tests {
         let splats = layered_scene();
         let viewport = vp(16, 16);
         let mut layer = FrameLayer::new(16, 16);
-        rasterize_layer(&splats, &TileGrid::build(&splats, viewport), &mut layer);
+        rasterize_layer(&splats, &TileGrid::build(&splats, viewport), &mut layer, 1);
         let rebuilt = {
             let (color, transmittance) = layer.clone().into_parts();
             FrameLayer::from_parts(color, transmittance)
@@ -1229,14 +1142,14 @@ mod tests {
     fn layer_size_must_match_the_grid() {
         let grid = TileGrid::build(&[], vp(8, 8));
         let mut layer = FrameLayer::new(4, 8);
-        rasterize_layer(&[], &grid, &mut layer);
+        rasterize_layer(&[], &grid, &mut layer, 1);
     }
 
     #[test]
     #[should_panic(expected = "gradient image width mismatch")]
     fn backward_rejects_wrong_gradient_size() {
         let grid = TileGrid::build(&[], vp(8, 8));
-        let (_, aux) = rasterize_forward(&[], &grid, [0.0; 3]);
+        let (_, aux) = rasterize_forward(&[], &grid, [0.0; 3], 1);
         let d_image = Image::zeros(4, 8);
         let _ = rasterize_backward(&[], &grid, &aux, &d_image);
     }

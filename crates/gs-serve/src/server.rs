@@ -745,7 +745,7 @@ impl RenderServer {
                 }
                 let started = Instant::now();
                 let tile_threads = self.shared.tile_threads();
-                let (stats, timings) = gs_render::pipeline::render_layer_tiled_timed(
+                let (stats, timings) = gs_render::pipeline::render_layer_tiled(
                     &scene.params,
                     &request.camera,
                     request.sh_degree,
@@ -1279,7 +1279,7 @@ fn render_one_shard(
     }
     let started = Instant::now();
     let tile_threads = shared.tile_threads();
-    let (stats, timings) = gs_render::pipeline::render_layer_tiled_timed(
+    let (stats, timings) = gs_render::pipeline::render_layer_tiled(
         &shard.params,
         &request.camera,
         request.sh_degree,

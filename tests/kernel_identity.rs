@@ -1,34 +1,36 @@
-//! Seeded property tests pinning the SoA kernel refactor's one invariant:
-//! every kernel variant produces **bit-identical** output.
+//! Seeded property tests pinning the render kernel's one invariant: the
+//! production rasterizer is **bit-identical** to the scalar oracles at any
+//! thread count and on any viewport.
 //!
-//! The render crate keeps the seed's scalar loops verbatim as
-//! `*_reference` oracles; these tests drive the lane-batched SoA
-//! projection, the lane-batched rasterizer, the tile-parallel rasterizer at
-//! several thread counts, and the sharded [`FrameLayer`] relay composite
-//! against those oracles across randomly generated scenes, cameras,
-//! viewport shapes (including non-tile-aligned ones) and every SH degree.
-//! Like `property_invariants.rs`, the cases are driven by the workspace's
-//! own deterministic [`Rng64`], so every failure is reproducible from its
-//! seed.
+//! The render crate keeps the pixel-outer scalar rasterizers as
+//! `rasterize_{forward,layer}_reference` oracles; these tests drive the
+//! row-blend band driver behind `rasterize_forward` and `rasterize_layer`
+//! (at several thread counts), the whole pipeline, and the sharded
+//! [`FrameLayer`] relay composite against them across randomly generated
+//! scenes, cameras, background colors and viewports: the full image
+//! (including sides that are not tile multiples), both halves of a
+//! `split_at_column` (what balance-aware image splitting renders every
+//! training step), and an offset sub-viewport with unaligned sides (what
+//! `POST /render` accepts). Like `property_invariants.rs`, the cases are
+//! driven by the workspace's own deterministic [`Rng64`], so every failure
+//! is reproducible from its seed.
 
 use gs_scale::core::camera::{Camera, Viewport};
 use gs_scale::core::gaussian::GaussianParams;
 use gs_scale::core::math::Vec3;
 use gs_scale::core::rng::Rng64;
 use gs_scale::core::sh;
-use gs_scale::core::GaussianSoa;
 use gs_scale::render::pipeline::{render, render_tiled};
-use gs_scale::render::tiles::TileGrid;
+use gs_scale::render::tiles::{TileGrid, TILE_SIZE};
 use gs_scale::render::{
-    project_splats, project_splats_reference, project_splats_soa, rasterize_forward,
-    rasterize_forward_reference, rasterize_forward_tiled, rasterize_layer,
-    rasterize_layer_reference, rasterize_layer_tiled, FrameLayer,
+    project_splats, rasterize_forward, rasterize_forward_reference, rasterize_layer,
+    rasterize_layer_reference, FrameLayer,
 };
 
 const CASES: u64 = 12;
 
 /// A random scene with anisotropic-ish placement and non-trivial SH bands,
-/// so every monomorphized projection kernel produces distinct colors.
+/// so every SH degree produces distinct colors.
 fn random_scene(rng: &mut Rng64) -> GaussianParams {
     let n = rng.gen_range(40usize..160);
     let mut p = GaussianParams::with_capacity(n);
@@ -74,68 +76,58 @@ fn random_background(rng: &mut Rng64) -> [f32; 3] {
     [rng.gen_f32(), rng.gen_f32(), rng.gen_f32()]
 }
 
-/// The lane-batched, SH-monomorphized projection (facade and prebuilt-SoA
-/// paths) must equal the scalar reference splat for splat, at every degree.
-#[test]
-fn soa_projection_matches_reference_across_scenes_and_degrees() {
-    for seed in 0..CASES {
-        let mut rng = Rng64::seed_from_u64(0x50a0 + seed);
-        let params = random_scene(&mut rng);
-        let cam = random_camera(&mut rng);
-        let vp = Viewport::full(&cam);
-        for degree in 0..=sh::MAX_DEGREE {
-            let reference = project_splats_reference(&params, &cam, degree, &vp);
-            let facade = project_splats(&params, &cam, degree, &vp);
-            assert_eq!(
-                facade, reference,
-                "facade drifted: seed {seed} deg {degree}"
-            );
-            let soa = GaussianSoa::build(&params, degree);
-            let direct = project_splats_soa(&soa, &cam, &vp);
-            assert_eq!(direct, reference, "SoA drifted: seed {seed} deg {degree}");
-        }
-    }
+/// The sub-viewports a render is asked for besides the full image: both
+/// halves of a random `split_at_column`, and an offset viewport
+/// (`x0, y0 > 0`) whose sides are not multiples of the tile size.
+fn sub_viewports(rng: &mut Rng64, cam: &Camera) -> [(&'static str, Viewport); 3] {
+    let full = Viewport::full(cam);
+    let (left, right) = full.split_at_column(rng.gen_range(1..cam.width));
+    let unaligned = |n: usize| n - usize::from(n.is_multiple_of(TILE_SIZE));
+    let x0 = rng.gen_range(1..cam.width / 3);
+    let y0 = rng.gen_range(1..cam.height / 3);
+    let width = unaligned(rng.gen_range(TILE_SIZE + 1..cam.width - x0 + 1));
+    let height = unaligned(rng.gen_range(2..cam.height - y0 + 1));
+    let offset = Viewport {
+        x0,
+        y0,
+        x1: x0 + width,
+        y1: y0 + height,
+    };
+    [("left", left), ("right", right), ("offset", offset)]
 }
 
-/// The lane-batched rasterizer and the tile-parallel rasterizer (at several
-/// thread counts, including more threads than tile rows) must reproduce the
-/// scalar reference image, transmittance and per-pixel processed counts.
+/// The production rasterizer, on one thread and fanned out (including more
+/// threads than tile rows), must reproduce the scalar reference image,
+/// transmittance and per-pixel processed counts on the full image and on
+/// every kind of sub-viewport.
 #[test]
 fn raster_kernels_match_reference_across_scenes_and_threads() {
     for seed in 0..CASES {
         let mut rng = Rng64::seed_from_u64(0xa57e + seed);
         let params = random_scene(&mut rng);
         let cam = random_camera(&mut rng);
-        let vp = Viewport::full(&cam);
         let bg = random_background(&mut rng);
-        let splats = project_splats(&params, &cam, sh::MAX_DEGREE, &vp);
-        let grid = TileGrid::build(&splats, vp);
-        let (img_ref, aux_ref) = rasterize_forward_reference(&splats, &grid, bg);
-        let (img_lane, aux_lane) = rasterize_forward(&splats, &grid, bg);
-        assert_eq!(img_lane.data(), img_ref.data(), "lane image: seed {seed}");
-        assert_eq!(
-            aux_lane.final_transmittance, aux_ref.final_transmittance,
-            "lane transmittance: seed {seed}"
-        );
-        assert_eq!(
-            aux_lane.n_processed, aux_ref.n_processed,
-            "lane processed counts: seed {seed}"
-        );
-        for threads in [2usize, 3, 7, 64] {
-            let (img_tiled, aux_tiled) = rasterize_forward_tiled(&splats, &grid, bg, threads);
-            assert_eq!(
-                img_tiled.data(),
-                img_ref.data(),
-                "tiled image: seed {seed} threads {threads}"
-            );
-            assert_eq!(
-                aux_tiled.final_transmittance, aux_ref.final_transmittance,
-                "tiled transmittance: seed {seed} threads {threads}"
-            );
-            assert_eq!(
-                aux_tiled.n_processed, aux_ref.n_processed,
-                "tiled processed counts: seed {seed} threads {threads}"
-            );
+        let full = ("full", Viewport::full(&cam));
+        for (name, vp) in std::iter::once(full).chain(sub_viewports(&mut rng, &cam)) {
+            let splats = project_splats(&params, &cam, sh::MAX_DEGREE, &vp);
+            let grid = TileGrid::build(&splats, vp);
+            let (img_ref, aux_ref) = rasterize_forward_reference(&splats, &grid, bg);
+            for threads in [1usize, 2, 3, 7, 64] {
+                let (img, aux) = rasterize_forward(&splats, &grid, bg, threads);
+                assert_eq!(
+                    img.data(),
+                    img_ref.data(),
+                    "image: seed {seed} {name} viewport threads {threads}"
+                );
+                assert_eq!(
+                    aux.final_transmittance, aux_ref.final_transmittance,
+                    "transmittance: seed {seed} {name} viewport threads {threads}"
+                );
+                assert_eq!(
+                    aux.n_processed, aux_ref.n_processed,
+                    "processed counts: seed {seed} {name} viewport threads {threads}"
+                );
+            }
         }
     }
 }
@@ -168,56 +160,82 @@ fn tiled_pipeline_matches_sequential_across_scenes() {
 }
 
 /// Depth-disjoint shards relayed through one running [`FrameLayer`] — with
-/// each shard rasterized by the lane kernel or the tile-parallel kernel —
-/// must reproduce the single-pass frame byte for byte, which is the
-/// invariant the cluster's cross-node sharded rendering rests on.
+/// each shard rasterized on one thread or fanned out — must reproduce the
+/// single-pass frame byte for byte on the full image and on every kind of
+/// sub-viewport, which is the invariant the cluster's cross-node sharded
+/// rendering rests on.
 #[test]
 fn sharded_layer_relay_matches_single_pass_across_scenes() {
     for seed in 0..CASES {
         let mut rng = Rng64::seed_from_u64(0x5a4d + seed);
         let params = random_scene(&mut rng);
         let cam = random_camera(&mut rng);
-        let vp = Viewport::full(&cam);
         let bg = random_background(&mut rng);
-        let mut splats = project_splats(&params, &cam, sh::MAX_DEGREE, &vp);
-        // Depth-disjoint shards: globally sort by depth, cut at random
-        // points. Sorting first keeps the single-pass composition order
-        // identical (the tile sort is stable and by depth already).
-        splats.sort_by(|a, b| a.depth.partial_cmp(&b.depth).unwrap());
-        let full_grid = TileGrid::build(&splats, vp);
-        let (single, _) = rasterize_forward(&splats, &full_grid, bg);
-
-        let shards = rng.gen_range(2usize..5);
-        let mut cuts: Vec<usize> = (0..shards - 1)
-            .map(|_| rng.gen_range(0usize..splats.len() + 1))
-            .collect();
-        cuts.push(splats.len());
-        cuts.sort_unstable();
-
-        let mut relay = FrameLayer::new(vp.width(), vp.height());
-        let mut relay_tiled = FrameLayer::new(vp.width(), vp.height());
-        let mut reference = FrameLayer::new(vp.width(), vp.height());
-        let mut start = 0;
-        for &end in &cuts {
-            let shard = &splats[start..end];
-            let grid = TileGrid::build(shard, vp);
-            rasterize_layer(shard, &grid, &mut relay);
-            rasterize_layer_tiled(shard, &grid, &mut relay_tiled, 3);
-            rasterize_layer_reference(shard, &grid, &mut reference);
-            start = end;
+        check_relay(
+            &mut rng,
+            &params,
+            &cam,
+            Viewport::full(&cam),
+            bg,
+            seed,
+            "full",
+        );
+        for (name, vp) in sub_viewports(&mut rng, &cam) {
+            check_relay(&mut rng, &params, &cam, vp, bg, seed, name);
         }
-        assert_eq!(
-            relay.finish(bg).data(),
-            single.data(),
-            "lane relay drifted from the single pass: seed {seed}"
-        );
-        assert_eq!(
-            relay_tiled, relay,
-            "tiled relay drifted from the lane relay: seed {seed}"
-        );
-        assert_eq!(
-            reference, relay,
-            "lane layer kernel drifted from the scalar layer kernel: seed {seed}"
-        );
     }
+}
+
+/// One relay case: cuts the depth-sorted splats of `vp` into 2–4 shards at
+/// random points and relays them through sequential, fanned-out and scalar
+/// reference layers.
+fn check_relay(
+    rng: &mut Rng64,
+    params: &GaussianParams,
+    cam: &Camera,
+    vp: Viewport,
+    bg: [f32; 3],
+    seed: u64,
+    name: &str,
+) {
+    let mut splats = project_splats(params, cam, sh::MAX_DEGREE, &vp);
+    // Depth-disjoint shards: globally sort by depth, cut at random points.
+    // Sorting first keeps the single-pass composition order identical (the
+    // tile sort is stable and by depth already).
+    splats.sort_by(|a, b| a.depth.partial_cmp(&b.depth).unwrap());
+    let full_grid = TileGrid::build(&splats, vp);
+    let (single, _) = rasterize_forward(&splats, &full_grid, bg, 1);
+
+    let shards = rng.gen_range(2usize..5);
+    let mut cuts: Vec<usize> = (0..shards - 1)
+        .map(|_| rng.gen_range(0usize..splats.len() + 1))
+        .collect();
+    cuts.push(splats.len());
+    cuts.sort_unstable();
+
+    let mut relay = FrameLayer::new(vp.width(), vp.height());
+    let mut relay_tiled = FrameLayer::new(vp.width(), vp.height());
+    let mut reference = FrameLayer::new(vp.width(), vp.height());
+    let mut start = 0;
+    for &end in &cuts {
+        let shard = &splats[start..end];
+        let grid = TileGrid::build(shard, vp);
+        rasterize_layer(shard, &grid, &mut relay, 1);
+        rasterize_layer(shard, &grid, &mut relay_tiled, 3);
+        rasterize_layer_reference(shard, &grid, &mut reference);
+        start = end;
+    }
+    assert_eq!(
+        relay.finish(bg).data(),
+        single.data(),
+        "relay drifted from the single pass: seed {seed} {name} viewport"
+    );
+    assert_eq!(
+        relay_tiled, relay,
+        "tiled relay drifted from the sequential relay: seed {seed} {name} viewport"
+    );
+    assert_eq!(
+        reference, relay,
+        "layer kernel drifted from the scalar layer kernel: seed {seed} {name} viewport"
+    );
 }
