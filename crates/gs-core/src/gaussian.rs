@@ -508,13 +508,7 @@ impl GaussianGrads {
 
     /// Mutable flat view of one gradient group.
     pub fn group_mut(&mut self, g: ParamGroup) -> &mut [f32] {
-        match g {
-            ParamGroup::Means => &mut self.means,
-            ParamGroup::LogScales => &mut self.log_scales,
-            ParamGroup::Quats => &mut self.quats,
-            ParamGroup::Opacities => &mut self.opacities,
-            ParamGroup::Sh => &mut self.sh,
-        }
+        self.group_vec_mut(g)
     }
 
     /// Adds another gradient container element-wise.
@@ -548,6 +542,24 @@ impl GaussianGrads {
                 dst[dst_idx * dim + k] += src[src_idx * dim + k];
             }
         }
+    }
+
+    fn group_vec_mut(&mut self, g: ParamGroup) -> &mut Vec<f32> {
+        match g {
+            ParamGroup::Means => &mut self.means,
+            ParamGroup::LogScales => &mut self.log_scales,
+            ParamGroup::Quats => &mut self.quats,
+            ParamGroup::Opacities => &mut self.opacities,
+            ParamGroup::Sh => &mut self.sh,
+        }
+    }
+
+    /// Resizes to `n` Gaussians in place, zero-filling new entries.
+    fn resize_zeroed(&mut self, n: usize) {
+        for g in ParamGroup::ALL {
+            self.group_vec_mut(g).resize(n * g.dim(), 0.0);
+        }
+        self.len = n;
     }
 
     /// L2 norm of the mean-position gradient of Gaussian `i` (used by the
@@ -616,8 +628,13 @@ impl SparseGrads {
 
     /// Merges another sparse gradient set into this one, summing entries for
     /// Gaussians present in both.
+    ///
+    /// Ids keep their first-seen order. A new id gets a zero slot that the
+    /// entry is then accumulated into, exactly like an existing id, so a
+    /// `-0.0` gradient becomes `+0.0`. Linear in `self.len() + other.len()`:
+    /// the packed groups grow in place.
     pub fn merge(&mut self, other: &SparseGrads) {
-        use std::collections::HashMap;
+        use std::collections::hash_map::{Entry, HashMap};
         let mut index: HashMap<u32, usize> = self
             .ids
             .iter()
@@ -625,23 +642,16 @@ impl SparseGrads {
             .map(|(k, &id)| (id, k))
             .collect();
         for (k, &id) in other.ids.iter().enumerate() {
-            if let Some(&dst) = index.get(&id) {
-                self.grads.accumulate_one(dst, &other.grads, k);
-            } else {
-                // Append a new entry.
-                let new_idx = self.ids.len();
-                self.ids.push(id);
-                // Grow the packed grads by one zero entry then accumulate.
-                let mut grown = GaussianGrads::zeros(new_idx + 1);
-                for g in ParamGroup::ALL {
-                    let dim = g.dim();
-                    grown.group_mut(g)[..new_idx * dim]
-                        .copy_from_slice(&self.grads.group(g)[..new_idx * dim]);
+            let dst = match index.entry(id) {
+                Entry::Occupied(slot) => *slot.get(),
+                Entry::Vacant(slot) => {
+                    let new_idx = self.ids.len();
+                    self.ids.push(id);
+                    self.grads.resize_zeroed(new_idx + 1);
+                    *slot.insert(new_idx)
                 }
-                self.grads = grown;
-                self.grads.accumulate_one(new_idx, &other.grads, k);
-                index.insert(id, new_idx);
-            }
+            };
+            self.grads.accumulate_one(dst, &other.grads, k);
         }
     }
 }
@@ -818,6 +828,119 @@ mod tests {
         assert_eq!(dense.opacities[1], 1.0);
         assert_eq!(dense.opacities[2], 12.0);
         assert_eq!(dense.opacities[5], 20.0);
+    }
+
+    fn random_sparse(rng: &mut crate::rng::Rng64, ids: Vec<u32>) -> SparseGrads {
+        let mut grads = GaussianGrads::zeros(ids.len());
+        for g in ParamGroup::ALL {
+            for v in grads.group_mut(g) {
+                *v = match rng.gen_range(0..4u32) {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => rng.gen_f32() * 2.0 - 1.0,
+                };
+            }
+        }
+        SparseGrads { ids, grads }
+    }
+
+    /// The merge a trainer does, spelled out: sum both sides densely and
+    /// list ids in first-seen order.
+    fn naive_merge(sides: &[&SparseGrads], total: usize) -> SparseGrads {
+        let mut dense = GaussianGrads::zeros(total);
+        let mut ids: Vec<u32> = Vec::new();
+        for side in sides {
+            dense.accumulate(&side.to_dense(total));
+            for &id in &side.ids {
+                if !ids.contains(&id) {
+                    ids.push(id);
+                }
+            }
+        }
+        let mut grads = GaussianGrads::zeros(ids.len());
+        for (k, &id) in ids.iter().enumerate() {
+            grads.accumulate_one(k, &dense, id as usize);
+        }
+        SparseGrads { ids, grads }
+    }
+
+    fn assert_bit_equal(a: &SparseGrads, b: &SparseGrads, case: &str) {
+        assert_eq!(a.ids, b.ids, "{case}: ids");
+        assert_eq!(a.grads.len(), b.grads.len(), "{case}: len");
+        for g in ParamGroup::ALL {
+            let bits = |s: &SparseGrads| -> Vec<u32> {
+                s.grads.group(g).iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(a), bits(b), "{case}: group {g:?}");
+        }
+    }
+
+    #[test]
+    fn sparse_merge_matches_a_naive_dense_reference_bitwise() {
+        let mut rng = crate::rng::Rng64::seed_from_u64(0x5eed);
+        let total = 48;
+        for case in 0..200 {
+            let draw = |rng: &mut crate::rng::Rng64, keep: &dyn Fn(u32) -> bool| {
+                let n = rng.gen_range(0..24usize);
+                let ids: Vec<u32> = (0..n)
+                    .map(|_| rng.gen_range(0..total as u32))
+                    .filter(|&id| keep(id))
+                    .collect();
+                random_sparse(rng, ids)
+            };
+            // Overlapping, disjoint, and one or both sides empty.
+            let (a, b) = match case % 4 {
+                0 => (draw(&mut rng, &|_| true), draw(&mut rng, &|_| true)),
+                1 => (
+                    draw(&mut rng, &|id| id % 2 == 0),
+                    draw(&mut rng, &|id| id % 2 == 1),
+                ),
+                2 => (SparseGrads::new(), draw(&mut rng, &|_| true)),
+                _ => (draw(&mut rng, &|_| true), SparseGrads::new()),
+            };
+            let mut merged = SparseGrads::new();
+            merged.merge(&a);
+            merged.merge(&b);
+            assert_bit_equal(
+                &merged,
+                &naive_merge(&[&a, &b], total),
+                &format!("case {case}"),
+            );
+        }
+    }
+
+    #[test]
+    fn sparse_merge_turns_negative_zero_into_positive_zero() {
+        let mut grads = GaussianGrads::zeros(1);
+        grads.opacities[0] = -0.0;
+        let neg = SparseGrads {
+            ids: vec![4],
+            grads,
+        };
+        let mut merged = SparseGrads::new();
+        merged.merge(&neg);
+        assert_eq!(merged.grads.opacities[0].to_bits(), 0.0f32.to_bits());
+    }
+
+    #[test]
+    fn sparse_merge_is_linear_in_the_number_of_ids() {
+        // A merge that rebuilds the packed buffer per new id takes minutes
+        // here; a linear one a few milliseconds.
+        let n = 20_000u32;
+        let mut rng = crate::rng::Rng64::seed_from_u64(7);
+        let a = random_sparse(&mut rng, (0..n).collect());
+        let b = random_sparse(&mut rng, (n / 2..n / 2 + n).collect());
+        let start = std::time::Instant::now();
+        let mut merged = SparseGrads::new();
+        merged.merge(&a);
+        merged.merge(&b);
+        let elapsed = start.elapsed();
+        assert_eq!(merged.len(), (n + n / 2) as usize);
+        assert_eq!(merged.grads.len(), merged.len());
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "merging two {n}-id sets took {elapsed:?}"
+        );
     }
 
     #[test]

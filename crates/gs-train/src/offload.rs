@@ -17,6 +17,15 @@
 //!   rendered as two balanced sub-viewports whose gradients are aggregated
 //!   before the optimizer step.
 //!
+//! On the host, the two sub-views of a split step share nothing until their
+//! sparse gradients are merged, so their cull → stage → render → loss →
+//! backward passes run concurrently on scoped threads, one per core (an
+//! unsplit view gives the cores to its forward raster instead). The merge,
+//! the loss sum, the transient GPU-pool charges and the modelled timeline
+//! then follow in fixed viewport order: the modelled GPU still runs the
+//! sub-views one after the other, and the results are bit-identical at any
+//! core count.
+//!
 //! Functionally every configuration follows the exact same parameter
 //! trajectory as the GPU-only system (up to the deferred update's ε
 //! approximation), which the integration tests verify.
@@ -34,7 +43,7 @@ use gs_platform::{
 use gs_render::cost as render_cost;
 use gs_render::culling::frustum_cull;
 use gs_render::loss::loss_and_grad;
-use gs_render::pipeline::{render, render_backward, to_sparse_grads};
+use gs_render::pipeline::{render_backward, render_tiled, to_sparse_grads, RenderStats};
 
 use crate::config::TrainConfig;
 use crate::densify::{densify, DensifyAccumulator};
@@ -118,6 +127,17 @@ impl OffloadOptions {
     }
 }
 
+/// One viewport's host pass: what the step's bookkeeping needs of it.
+struct ViewPass {
+    /// Gradients over the Gaussians culled into the viewport.
+    grads: SparseGrads,
+    /// Loss over the viewport's pixels, not yet weighted by its share of
+    /// the image.
+    loss: f32,
+    /// Work counters of the forward render.
+    stats: RenderStats,
+}
+
 /// Host-offloading trainer (see module docs).
 #[derive(Debug)]
 pub struct OffloadTrainer {
@@ -141,6 +161,9 @@ pub struct OffloadTrainer {
     accum: DensifyAccumulator,
     iteration: usize,
     scene_extent: f32,
+    /// Host threads for a step's view passes (the host's available
+    /// parallelism).
+    host_workers: usize,
 }
 
 impl OffloadTrainer {
@@ -182,6 +205,7 @@ impl OffloadTrainer {
             accum: DensifyAccumulator::new(n),
             iteration: 0,
             scene_extent,
+            host_workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         };
         trainer.update_persistent_memory()?;
         Ok(trainer)
@@ -252,18 +276,14 @@ impl OffloadTrainer {
             (GaussianParams::PARAMS_PER_GAUSSIAN * 4) as u64
         }
     }
-}
 
-impl Trainer for OffloadTrainer {
-    fn name(&self) -> &str {
-        self.options.system_name()
-    }
-
-    fn params(&self) -> &GaussianParams {
-        &self.params
-    }
-
-    fn step(&mut self, cam: &Camera, target: &Image) -> Result<IterationStats> {
+    /// One training step ([`Trainer::step`]), also returning the merged
+    /// sparse gradients it applied.
+    fn step_with_grads(
+        &mut self,
+        cam: &Camera,
+        target: &Image,
+    ) -> Result<(IterationStats, SparseGrads)> {
         self.iteration += 1;
         let total = self.params.len();
         let full_vp = Viewport::full(cam);
@@ -313,55 +333,31 @@ impl Trainer for OffloadTrainer {
         };
 
         // ---- 3. Per-viewport forward/backward -------------------------------
+        let passes = self.view_passes(cam, target, &viewports, cull.ids, self.host_workers);
+
+        // ---- 4. Bookkeeping, in viewport order ------------------------------
+        // The modelled GPU runs the sub-views one after the other, whatever
+        // ran concurrently on the host.
         let mut merged: SparseGrads = SparseGrads::new();
         let mut total_loss = 0.0f32;
         let mut last_gpu_event = cull_event;
         let mut last_d2h_event = cull_event;
-        for vp in &viewports {
-            let ids = if viewports.len() == 1 {
-                cull.ids.clone()
-            } else {
-                frustum_cull(&self.params, cam, vp).ids
-            };
-            let staged = self.stage_params(&ids);
-
+        for (vp, pass) in viewports.iter().zip(passes) {
             // Transient GPU memory for this pass.
-            let staged_param_bytes = ids.len() as u64 * self.staged_bytes_per_gaussian();
-            let grad_bytes = ids.len() as u64 * GaussianParams::PARAMS_PER_GAUSSIAN as u64 * 4;
+            let staged = pass.grads.len() as u64;
+            let staged_param_bytes = staged * self.staged_bytes_per_gaussian();
+            let grad_bytes = staged * GaussianParams::PARAMS_PER_GAUSSIAN as u64 * 4;
             let activation_bytes = memory_model::ACTIVATION_BYTES_PER_PIXEL
                 * vp.num_pixels() as u64
-                + memory_model::ACTIVATION_BYTES_PER_ACTIVE_GAUSSIAN * ids.len() as u64;
-            self.gpu_pool
-                .alloc(MemoryCategory::Parameters, staged_param_bytes)?;
-            self.gpu_pool.alloc(MemoryCategory::Gradients, grad_bytes)?;
-            self.gpu_pool
-                .alloc(MemoryCategory::Activations, activation_bytes)?;
+                + memory_model::ACTIVATION_BYTES_PER_ACTIVE_GAUSSIAN * staged;
+            self.charge_transient_gpu_memory(&[
+                (MemoryCategory::Parameters, staged_param_bytes),
+                (MemoryCategory::Gradients, grad_bytes),
+                (MemoryCategory::Activations, activation_bytes),
+            ])?;
 
-            // Functional forward + loss + backward on the staged subset. The
-            // loss gradient is scaled so that split sub-views aggregate to the
-            // same gradients as a single full-image pass.
-            let output = render(
-                &staged,
-                cam,
-                self.config.sh_degree,
-                vp,
-                self.config.background,
-            );
-            let target_crop = if viewports.len() == 1 {
-                target.clone()
-            } else {
-                target.crop(vp.x0, vp.y0, vp.x1, vp.y1)
-            };
-            let (loss, mut d_image) = loss_and_grad(self.config.loss, &output.image, &target_crop);
-            let scale = vp.num_pixels() as f32 / full_pixels;
-            if (scale - 1.0).abs() > f32::EPSILON {
-                for v in d_image.data_mut() {
-                    *v *= scale;
-                }
-            }
-            total_loss += loss * scale;
-            let grads = render_backward(&staged, cam, self.config.sh_degree, &output, &d_image);
-            merged.merge(&to_sparse_grads(&ids, grads));
+            total_loss += pass.loss * (vp.num_pixels() as f32 / full_pixels);
+            merged.merge(&pass.grads);
 
             // Timeline: H2D staging (chunked), forward/backward, D2H grads.
             let h2d_time: f64 = self
@@ -370,8 +366,8 @@ impl Trainer for OffloadTrainer {
                 .iter()
                 .map(|&c| self.transfer.transfer_time(c))
                 .sum();
-            let fwd_work = work_from_estimate(&output.stats.forward_work());
-            let bwd_work = work_from_estimate(&output.stats.backward_work());
+            let fwd_work = work_from_estimate(&pass.stats.forward_work());
+            let bwd_work = work_from_estimate(&pass.stats.backward_work());
             let d2h_time = self.transfer.transfer_time(grad_bytes);
 
             // Under parameter forwarding the H2D copy does not wait for the
@@ -388,15 +384,9 @@ impl Trainer for OffloadTrainer {
             let d2h = sim.schedule(Stream::DeviceToHost, "d2h_grads", d2h_time, &[fwd]);
             last_gpu_event = fwd;
             last_d2h_event = d2h;
-
-            self.gpu_pool
-                .free(MemoryCategory::Parameters, staged_param_bytes);
-            self.gpu_pool.free(MemoryCategory::Gradients, grad_bytes);
-            self.gpu_pool
-                .free(MemoryCategory::Activations, activation_bytes);
         }
 
-        // ---- 4. Densification statistics ------------------------------------
+        // ---- 5. Densification statistics ------------------------------------
         // Statistics are recorded over the full index space (identically to
         // the GPU-only trainer) so every system makes the same densification
         // decisions and the trained models stay comparable.
@@ -404,7 +394,7 @@ impl Trainer for OffloadTrainer {
         let all_ids: Vec<u32> = (0..total as u32).collect();
         self.accum.record(&all_ids, &dense_grads);
 
-        // ---- 5. Optimizer updates -------------------------------------------
+        // ---- 6. Optimizer updates -------------------------------------------
         // Geometric groups: dense Adam over every Gaussian.
         let t = self.geom_optimizer.advance();
         let geom_stats = self.geom_optimizer.apply_groups(
@@ -475,7 +465,7 @@ impl Trainer for OffloadTrainer {
         let mut breakdown = BTreeMap::new();
         sim.accumulate_breakdown(&mut breakdown);
 
-        Ok(IterationStats {
+        let stats = IterationStats {
             loss: total_loss,
             active_gaussians: active,
             total_gaussians: total,
@@ -483,7 +473,132 @@ impl Trainer for OffloadTrainer {
             phase_breakdown: breakdown,
             image_split: split,
             optimizer_updates: cpu_stats.updated_gaussians,
+        };
+        Ok((stats, merged))
+    }
+
+    /// Charges one pass's transient GPU buffers to the pool and releases
+    /// them again, leaving the peak behind.
+    ///
+    /// # Errors
+    ///
+    /// Returns the out-of-memory error of the first allocation that does
+    /// not fit, after freeing the ones before it.
+    fn charge_transient_gpu_memory(&mut self, buffers: &[(MemoryCategory, u64)]) -> Result<()> {
+        for (i, &(category, bytes)) in buffers.iter().enumerate() {
+            if let Err(e) = self.gpu_pool.alloc(category, bytes) {
+                for &(category, bytes) in &buffers[..i] {
+                    self.gpu_pool.free(category, bytes);
+                }
+                return Err(e);
+            }
+        }
+        for &(category, bytes) in buffers {
+            self.gpu_pool.free(category, bytes);
+        }
+        Ok(())
+    }
+
+    /// Stage → render → loss → backward for one viewport, over the
+    /// Gaussians `ids` culled into it, with the forward raster fanned out
+    /// over `raster_threads`. The loss gradient is scaled so that split
+    /// sub-views aggregate to the same gradients as a single full-image
+    /// pass; the returned loss is not.
+    fn view_pass(
+        &self,
+        cam: &Camera,
+        target: &Image,
+        vp: &Viewport,
+        ids: Vec<u32>,
+        raster_threads: usize,
+    ) -> ViewPass {
+        let staged = self.stage_params(&ids);
+        let output = render_tiled(
+            &staged,
+            cam,
+            self.config.sh_degree,
+            vp,
+            self.config.background,
+            raster_threads,
+        );
+        let crop;
+        let target = if vp.width() == cam.width && vp.height() == cam.height {
+            target
+        } else {
+            crop = target.crop(vp.x0, vp.y0, vp.x1, vp.y1);
+            &crop
+        };
+        let (loss, mut d_image) = loss_and_grad(self.config.loss, &output.image, target);
+        let scale = vp.num_pixels() as f32 / cam.num_pixels() as f32;
+        if (scale - 1.0).abs() > f32::EPSILON {
+            for v in d_image.data_mut() {
+                *v *= scale;
+            }
+        }
+        let grads = render_backward(&staged, cam, self.config.sh_degree, &output, &d_image);
+        ViewPass {
+            grads: to_sparse_grads(&ids, grads),
+            loss,
+            stats: output.stats,
+        }
+    }
+
+    /// Runs the host pass of every viewport and returns them in viewport
+    /// order, on up to `workers` threads. A single viewport renders the
+    /// full view's culled `full_ids` and gives every worker to its forward
+    /// raster; the sub-views of a split step each cull their own ids and
+    /// run side by side, sharing the workers. One worker runs everything on
+    /// the calling thread.
+    fn view_passes(
+        &self,
+        cam: &Camera,
+        target: &Image,
+        viewports: &[Viewport],
+        full_ids: Vec<u32>,
+        workers: usize,
+    ) -> Vec<ViewPass> {
+        if let [vp] = viewports {
+            return vec![self.view_pass(cam, target, vp, full_ids, workers)];
+        }
+        let sub_pass = |vp: &Viewport, raster_threads: usize| {
+            let ids = frustum_cull(&self.params, cam, vp).ids;
+            self.view_pass(cam, target, vp, ids, raster_threads)
+        };
+        if workers < viewports.len() {
+            return viewports.iter().map(|vp| sub_pass(vp, 1)).collect();
+        }
+        let raster_threads = workers / viewports.len();
+        let sub_pass = &sub_pass;
+        // The first sub-view runs on the calling thread: a second spawned
+        // thread would bring its own allocator arena and raise peak RSS.
+        std::thread::scope(|scope| {
+            let (first, rest) = viewports.split_first().expect("two sub-views");
+            let handles: Vec<_> = rest
+                .iter()
+                .map(|vp| scope.spawn(move || sub_pass(vp, raster_threads)))
+                .collect();
+            let mut passes = vec![sub_pass(first, raster_threads)];
+            passes.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+            );
+            passes
         })
+    }
+}
+
+impl Trainer for OffloadTrainer {
+    fn name(&self) -> &str {
+        self.options.system_name()
+    }
+
+    fn params(&self) -> &GaussianParams {
+        &self.params
+    }
+
+    fn step(&mut self, cam: &Camera, target: &Image) -> Result<IterationStats> {
+        self.step_with_grads(cam, target).map(|(stats, _)| stats)
     }
 
     fn flush(&mut self) {
@@ -715,6 +830,94 @@ mod tests {
         }
         let diff = max_param_diff(whole.params(), split.params());
         assert!(diff < 1e-4, "splitting changed training results by {diff}");
+    }
+
+    fn grad_bits(grads: &SparseGrads) -> Vec<u32> {
+        ParamGroup::ALL
+            .iter()
+            .flat_map(|&g| grads.grads.group(g).iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn view_passes_are_bit_identical_at_any_worker_count() {
+        let (init, cam, target) = tiny_scene();
+        let platform = PlatformSpec::laptop_rtx4070m();
+        // mem_limit 0 splits every view into two sub-views; 1 never splits.
+        for (mem_limit, splits) in [(0.0, true), (1.0, false)] {
+            let cfg = TrainConfig::fast_test(5).with_mem_limit(mem_limit);
+            let mut trainers: Vec<OffloadTrainer> = [1, 2, 4]
+                .into_iter()
+                .map(|workers| {
+                    let mut trainer = OffloadTrainer::new(
+                        cfg.clone(),
+                        OffloadOptions::full(),
+                        platform.clone(),
+                        init.clone(),
+                        10.0,
+                    )
+                    .unwrap();
+                    trainer.host_workers = workers;
+                    trainer
+                })
+                .collect();
+            let (one, more) = trainers.split_first_mut().unwrap();
+            for _ in 0..5 {
+                let (stats, grads) = one.step_with_grads(&cam, &target).unwrap();
+                assert_eq!(stats.image_split, splits);
+                for trainer in more.iter_mut() {
+                    let (s, g) = trainer.step_with_grads(&cam, &target).unwrap();
+                    let workers = trainer.host_workers;
+                    assert_eq!(s.loss.to_bits(), stats.loss.to_bits(), "{workers} workers");
+                    assert_eq!(g.ids, grads.ids, "{workers} workers");
+                    assert_eq!(grad_bits(&g), grad_bits(&grads), "{workers} workers");
+                    assert_eq!(s.sim_time_s, stats.sim_time_s, "{workers} workers");
+                }
+            }
+            for trainer in more.iter() {
+                assert_eq!(trainer.peak_gpu_memory(), one.peak_gpu_memory());
+            }
+        }
+    }
+
+    #[test]
+    fn failed_transient_allocation_leaves_the_pool_at_its_resident_baseline() {
+        let (init, cam, target) = tiny_scene();
+        let options = OffloadOptions {
+            image_splitting: false,
+            ..OffloadOptions::full()
+        };
+        let active = frustum_cull(&init, &cam, &Viewport::full(&cam)).num_active() as u64;
+        let staged_param_bytes = active * GaussianParams::NON_GEOMETRIC_PARAMS as u64 * 4;
+        let grad_bytes = active * GaussianParams::PARAMS_PER_GAUSSIAN as u64 * 4;
+        // Room for the staged parameters only (the gradients fail), then for
+        // parameters and gradients (the activations fail).
+        for headroom in [staged_param_bytes, staged_param_bytes + grad_bytes] {
+            let mut trainer = OffloadTrainer::new(
+                TrainConfig::fast_test(2),
+                options,
+                PlatformSpec::laptop_rtx4070m(),
+                init.clone(),
+                10.0,
+            )
+            .unwrap();
+            let resident = trainer.gpu_pool.used_total();
+            trainer.gpu_pool = MemoryPool::new("gpu", resident + headroom);
+            trainer.update_persistent_memory().unwrap();
+            assert_eq!(trainer.gpu_pool.used_total(), resident);
+            for _ in 0..2 {
+                let err = trainer.step(&cam, &target).unwrap_err();
+                assert!(
+                    matches!(err, gs_core::error::Error::OutOfMemory { .. }),
+                    "{err:?}"
+                );
+                assert_eq!(
+                    trainer.gpu_pool.used_total(),
+                    resident,
+                    "headroom {headroom}"
+                );
+            }
+        }
     }
 
     #[test]
